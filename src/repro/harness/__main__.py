@@ -51,13 +51,13 @@ def cmd_figures(args, directions) -> None:
         proc_counts=procs, workload=workload, directions=directions
     )
     if args.profile:
-        from ..telemetry import Counters
+        from ..telemetry import MetricRegistry
 
         for r in results:
-            c = Counters()
+            reg = MetricRegistry()
             for k, v in r.telemetry.items():
-                c.add(k, v)
-            print(c.render(
+                reg.counter(k).add(v)
+            print(reg.render(
                 f"{r.library} {r.direction} @{r.nprocs} procs — I/O telemetry"
             ))
             print()

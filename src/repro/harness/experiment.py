@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from ..cluster import Cluster
 from ..config import DEFAULT_MACHINE, MachineSpec
 from ..sim.stats import summarize
-from ..telemetry import merged_counters, merged_metrics, spans_of
+from ..telemetry import merged_metrics, spans_of
 from ..telemetry.export import spans_to_dicts
 from ..units import MiB
 from ..workloads import Domain3D, read_job, write_job
@@ -36,7 +36,7 @@ class JobResult:
     direction: str           # "write" | "read"
     seconds: float
     phases: dict[str, float] = field(default_factory=dict)  # seconds
-    telemetry: dict[str, float] = field(default_factory=dict)  # merged counters
+    telemetry: dict[str, float] = field(default_factory=dict)  # flat values
     metrics: dict = field(default_factory=dict)   # MetricRegistry.as_dict()
     spans: list = field(default_factory=list)     # span dicts (trace export)
     engine: str = "threads"  # rank engine that executed the run
@@ -81,10 +81,9 @@ def _cluster_for(workload: Domain3D, machine: MachineSpec) -> Cluster:
 
 def _job_result(library: str, nprocs: int, direction: str, res, cl) -> JobResult:
     """Fold one SPMD run into a JobResult: makespan + phase seconds, the
-    merged flat counters (plus the legacy-format expansion of the typed
-    metric families, so ``--profile`` keeps its historical key set), the
-    cross-rank :class:`MetricRegistry`, and the span dicts for trace
-    export."""
+    flat counter/gauge values of the cross-rank :class:`MetricRegistry`
+    plus the device persistence counters, the registry itself, and the
+    span dicts for trace export."""
     from ..telemetry.critpath import (
         critical_path_spmd,
         critpath_doc,
@@ -94,8 +93,7 @@ def _job_result(library: str, nprocs: int, direction: str, res, cl) -> JobResult
     offer_capture("spmd", res)
     timing = res.time()
     reg = merged_metrics(res.traces)
-    tel = merged_counters(res.traces).as_dict()
-    tel.update(reg.legacy_counters())
+    tel = reg.values()
     tel.update(cl.device.persistence_counters())
     return JobResult(
         library, nprocs, direction, timing.makespan_ns / 1e9,

@@ -50,7 +50,7 @@ from ..errors import (
 from ..serial import DramSink, DramSource, get_serializer
 from ..serial.base import array_from_bytes
 from ..serial.filters import FilterPipeline
-from ..telemetry import LANE_BOUNDS, counters_for, metrics_for, record, span
+from ..telemetry import LANE_BOUNDS, metrics_for, record, span
 from ..telemetry.export import registry_percentiles
 from .cache import DEFAULT_CHUNK_CACHE_BYTES, ChunkCache
 from .dataset import Chunk, VariableMeta, split_at_chunk_grid
@@ -191,13 +191,11 @@ class PMEM:
         time shows up as a named child of whichever store/load phase took
         the guard.  Stripe occupancy feeds the fixed-lane
         ``meta.stripe.acquires`` histogram (O(64) to aggregate across any
-        number of runs; :meth:`MetricRegistry.legacy_counters` expands it
-        back to the per-stripe keys for ``--profile``)."""
+        number of runs)."""
         with span(ctx, "meta-lock"):
             with guard as g:
                 t0 = ctx.lb_ns
                 record(ctx, "meta_lock_acquires")
-                record(ctx, "meta.lock.acquires")
                 if g.contended:
                     record(ctx, "meta.lock.contended")
                 if g.stripe is not None:
@@ -208,7 +206,6 @@ class PMEM:
                     yield g
                 finally:
                     held = ctx.lb_ns - t0
-                    record(ctx, "meta_lock_ns", held)
                     metrics_for(ctx).histogram("meta.lock.ns").observe(held)
 
     def _meta_read(self, ctx, var_id: str):
@@ -694,12 +691,13 @@ class PMEM:
             }
         out = {"variables": variables, "layout": self.layout.name}
         out.update(self.layout.occupancy(ctx))
-        out["telemetry"] = counters_for(ctx).as_dict()
-        out["metrics"] = metrics_for(ctx).as_dict()
+        reg = metrics_for(ctx)
+        out["telemetry"] = reg.values()
+        out["metrics"] = reg.as_dict()
         # p50/p95/p99 for every populated histogram, through the same
         # registry_percentiles code path the service SLO report and the
         # perf observatory render from
-        out["percentiles"] = registry_percentiles(metrics_for(ctx))
+        out["percentiles"] = registry_percentiles(reg)
         if ctx.env is not None and getattr(ctx.env, "device", None) is not None:
             out["device"] = ctx.env.device.persistence_counters()
         return copy.deepcopy(out)

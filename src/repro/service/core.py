@@ -507,11 +507,6 @@ class ServiceCore:
         inventory, and the admission window."""
         with self._lock:
             reg = metrics_for(self.ctx)
-            counters = {
-                name: reg.get(name).value
-                for name in reg.names()
-                if getattr(reg.get(name), "kind", "") in ("counter", "gauge")
-            }
             latency = {
                 name: pct
                 for name, pct in registry_percentiles(reg).items()
@@ -522,7 +517,7 @@ class ServiceCore:
                 "inflight": self._inflight,
                 "max_inflight": self.cfg.max_inflight,
                 "nshards": self.cfg.nshards,
-                "counters": counters,
+                "counters": reg.values(),
                 "latency": latency,
                 "critpath": self._critpath_by_endpoint(),
                 "flight": self.flight.stats(),

@@ -1,12 +1,26 @@
 """mpmetrics-style typed metric families: Counter, Gauge, Histogram.
 
-Where :mod:`repro.telemetry.counters` is a flat bag of add-only floats,
-this module provides *typed* families with well-defined cross-rank and
-cross-run aggregation semantics, attached per rank to its
-:class:`~repro.sim.trace.RankTrace` (like the legacy counter bag) and
-merged after an SPMD run with :func:`MetricRegistry.merged`.
+A :class:`MetricRegistry` is the one per-rank telemetry store, attached to
+the rank's :class:`~repro.sim.trace.RankTrace` (so metrics survive the
+SPMD run) and merged after it with :func:`MetricRegistry.merged`.  Every
+family has well-defined cross-rank and cross-run aggregation semantics;
+:meth:`MetricRegistry.values` is the flat ``{name: value}`` view of its
+counters and gauges.
 
-Naming rules (DESIGN.md §9):
+Counter names recorded with :func:`repro.telemetry.record` (DESIGN.md
+"Telemetry taxonomy"):
+
+==========================  ==================================================
+``*_ops`` / ``*_calls``     event counts (stores, loads, persists, acquires)
+``*_bytes``                 byte totals; device counters carry *modeled*
+                            (paper-scale) bytes, ``logical_*``/``driver_*``
+                            counters carry real payload bytes
+``*_ns``                    modeled nanoseconds (e.g. ``cpu_core_ns``)
+``meta_lock_acquires``      metadata-guard acquisitions (any scope)
+``meta.lock.contended``     acquisitions that had to wait for another rank
+==========================  ==================================================
+
+Typed family names (DESIGN.md §9):
 
 =====================  ====================================================
 ``<layer>.<op>``        Counter — event count (``pmdk.lock.acquires``)
@@ -20,16 +34,13 @@ Histograms carry **fixed** buckets so aggregation is O(buckets), never
 O(distinct values): the default scheme is log2 (bucket *i* holds values in
 ``(2^(i-1), 2^i]``), and :data:`LANE_BOUNDS` is a fixed 64-lane linear
 scheme for stripe-occupancy distributions (exact for up to 64 stripes,
-overflowing into the last bucket beyond — replacing the unbounded
-``meta.stripe.<i>.acquires`` counter keys).
+overflowing into the last bucket beyond).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from typing import Iterable
-
-from .counters import _fmt_value
 
 #: number of log2 buckets: values up to 2**63 land exactly, bigger overflow
 _NLOG2 = 64
@@ -262,6 +273,12 @@ class MetricRegistry:
     def __contains__(self, name: str) -> bool:
         return name in self._m
 
+    def values(self) -> dict[str, float]:
+        """``{name: value}`` of the counters and gauges, sorted by name —
+        the flat telemetry view (``PMEM.stats()["telemetry"]`` & co.)."""
+        return {name: m.value for name, m in sorted(self._m.items())
+                if not isinstance(m, Histogram)}
+
     def merge(self, other: "MetricRegistry") -> "MetricRegistry":
         for name, m in other._m.items():
             mine = self._m.get(name)
@@ -304,33 +321,6 @@ class MetricRegistry:
                 raise ValueError(f"metric {name!r}: unknown kind {kind!r}")
         return out
 
-    # ------------------------------------------------------------------ legacy shim
-
-    def legacy_counters(self) -> dict[str, float]:
-        """Flat-counter view for ``harness --profile`` consumers.
-
-        Counters/gauges render as plain values; the stripe-occupancy
-        histogram is expanded back into the legacy per-stripe
-        ``meta.stripe.<i>.acquires`` keys (exact for lane-bucketed
-        histograms); other histograms contribute ``<name>.count`` and
-        ``<name>.sum`` keys.
-        """
-        out: dict[str, float] = {}
-        for name, m in self._m.items():
-            if isinstance(m, (Counter, Gauge)):
-                out[name] = m.value
-            elif m.bounds == LANE_BOUNDS:
-                stem = name.rsplit(".", 1)
-                prefix, op = (stem[0], stem[1]) if len(stem) == 2 \
-                    else (name, "count")
-                for edge, n in m.nonzero_buckets():
-                    lane = "64+" if edge == float("inf") else str(int(edge))
-                    out[f"{prefix}.{lane}.{op}"] = float(n)
-            else:
-                out[f"{name}.count"] = float(m.count)
-                out[f"{name}.sum"] = m.sum
-        return out
-
     # ------------------------------------------------------------------ render
 
     def render(self, title: str = "metric families") -> str:
@@ -354,3 +344,31 @@ class MetricRegistry:
                     f"  {name:<{width}}  {_fmt_value(name, m.value)}"
                 )
         return "\n".join(lines)
+
+
+def _fmt_value(name: str, v: float) -> str:
+    if name.endswith("_ns"):
+        return _fmt_quantity(v, "ns")
+    if name.endswith("_bytes"):
+        return _fmt_quantity(v, "B")
+    if v == int(v):
+        return f"{int(v):,}"
+    return f"{v:,.2f}"
+
+
+def _fmt_quantity(v: float, unit: str) -> str:
+    """``12,345,678 B (11.8 MiB)``-style rendering."""
+    base = f"{v:,.0f} {unit}" if v == int(v) else f"{v:,.2f} {unit}"
+    if unit == "B" and v >= 1024:
+        scaled, suffix = float(v), ""
+        for s in ("KiB", "MiB", "GiB", "TiB"):
+            if scaled < 1024:
+                break
+            scaled /= 1024
+            suffix = s
+        return f"{base} ({scaled:.1f} {suffix})"
+    if unit == "ns" and v >= 1e3:
+        for factor, s in ((1e9, "s"), (1e6, "ms"), (1e3, "us")):
+            if v >= factor:
+                return f"{base} ({v / factor:.2f} {s})"
+    return base

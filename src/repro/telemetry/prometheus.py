@@ -22,7 +22,8 @@ client-library dependency, matching the repo's stdlib-only rule.
 
 :func:`validate_prometheus_text` is the CI-side checker: it re-parses a
 page and enforces the structural invariants a scraper relies on (TYPE
-before samples, bucket cumulativity/monotonicity, ``+Inf`` == ``_count``).
+before samples, one TYPE per family, bucket cumulativity/monotonicity,
+``+Inf`` == ``_count``).
 """
 
 from __future__ import annotations
@@ -120,6 +121,9 @@ def validate_prometheus_text(text: str) -> list[str]:
                     "counter", "gauge", "histogram", "summary", "untyped"):
                 errors.append(f"line {lineno}: malformed TYPE line")
                 continue
+            if parts[2] in typed:
+                errors.append(f"line {lineno}: family {parts[2]!r} "
+                              f"declared twice")
             typed[parts[2]] = parts[3]
             continue
         if line.startswith("#"):

@@ -200,7 +200,7 @@ class TestCampaigns:
         report = run_campaign(
             TxWorkload(), cluster=small_cluster(), budget=10, seed=0
         )
-        counts = report.counters().as_dict()
+        counts = report.counters().values()
         assert counts["crash.states_explored"] == report.states_explored
         assert counts["crash.violations"] == 0
         assert "crash.journal_events" in counts

@@ -215,11 +215,12 @@ def test_meta_lock_telemetry_present(layout):
     def job(ctx):
         pmem = make_pmem(ctx, layout)
         pmem.store("x", np.ones(8))
-        tel = pmem.stats()["telemetry"]
+        st = pmem.stats()
         pmem.munmap()
-        return tel
+        return st
 
-    tel = run1(job).returns[0]
+    st = run1(job).returns[0]
+    tel = st["telemetry"]
     assert tel["meta_lock_acquires"] >= 1
-    assert tel["meta_lock_ns"] > 0
+    assert st["metrics"]["meta.lock.ns"]["sum"] > 0
     assert tel["persist_calls"] >= 1

@@ -359,6 +359,9 @@ def test_prometheus_validator_catches_breakage():
     errs = validate_prometheus_text(bad)
     assert any("cumulative" in e for e in errs)
     assert any("+Inf" in e for e in errs)
+    twice = ("# TYPE repro_x_total counter\nrepro_x_total 1\n"
+             "# TYPE repro_x_total counter\nrepro_x_total 2\n")
+    assert any("declared twice" in e for e in validate_prometheus_text(twice))
 
 
 def test_sanitize_metric_name():
@@ -378,6 +381,8 @@ def test_core_prometheus_merges_shard_registries():
     assert "repro_service_clock_ns" in text
     # shard engine metrics (span latency histograms) are on the same page
     assert "repro_span_service_shard_request_ns_count" in text
+    # ... and so are the engine's I/O counters
+    assert "repro_pmemcpy_store_ops_total" in text
 
 
 # ---------------------------------------------------------------------------

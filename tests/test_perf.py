@@ -363,26 +363,17 @@ def test_baseline_entries_carry_engine_column():
     assert doc["scenarios"]["mem.memcpy_persist"]["engine"] == "threads"
 
 
-def test_v1_baseline_migrates_on_load(tmp_path):
-    """A committed /1 baseline (pre-procs-engine) loads as /2 with every
-    scenario stamped engine=threads."""
-    from repro.perf.baseline import BASELINE_SCHEMA, migrate_v1
-
-    doc = json.loads(json.dumps(baseline_from_runs([_run_record()])))
-    doc["schema"] = "repro-perf-baseline/1"
-    for entry in doc["scenarios"].values():
-        entry.pop("engine", None)
-
-    migrated = migrate_v1(doc)
-    assert migrated["schema"] == BASELINE_SCHEMA
-    assert migrated["scenarios"]["mem.memcpy_persist"]["engine"] == "threads"
-
-    path = tmp_path / "results" / "b.json"
-    path.parent.mkdir(parents=True)
+@pytest.mark.parametrize("schema", ["repro-perf-baseline/1",
+                                    "repro-perf-baseline/2"])
+def test_pre_v3_baseline_is_refused(tmp_path, schema):
+    """Baselines older than the current schema are regenerated, not
+    migrated: loading one is an error."""
+    doc = baseline_from_runs([_run_record()])
+    doc["schema"] = schema
+    path = tmp_path / "b.json"
     path.write_text(json.dumps(doc))
-    back = load_baseline(str(path))
-    assert back["schema"] == BASELINE_SCHEMA
-    assert back["scenarios"]["mem.memcpy_persist"]["engine"] == "threads"
+    with pytest.raises(ValueError, match="is not"):
+        load_baseline(str(path))
 
 
 def test_compare_refuses_engine_mismatch():

@@ -174,6 +174,19 @@ class TestHarness:
         assert set(series) == {"PMCPY-A", "ADIOS"}
         assert set(series["ADIOS"]) == {2, 4}
 
+    def test_profile_prints_counter_table_per_job(self, tmp_path, capsys):
+        from repro.harness.__main__ import main
+        from repro.harness.experiment import PAPER_LIBRARIES
+
+        assert main(["fig6", "--procs", "2", "--axis-scale", "40",
+                     "--profile", "--out", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        tables = [t for t in out.split("\n== ") if "I/O telemetry ==" in t]
+        assert len(tables) == len(PAPER_LIBRARIES)
+        for table in tables:
+            assert "driver_write_ops" in table, table
+            assert "device_persists" in table, table
+
     def test_figures_render(self):
         from repro.harness import ascii_chart, render_table, write_csv
         import os, tempfile
