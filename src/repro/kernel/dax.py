@@ -54,8 +54,14 @@ from ..errors import (
     NotEmptyError,
 )
 from ..mem.device import PMEMDevice
+from ..mem.memcpy import (
+    _COPY_SETUP_NS,
+    charge_persist,
+    charge_pmem_read,
+    charge_pmem_write,
+)
 from ..units import CACHELINE
-from .syscall import page_fault
+from .syscall import page_fault, syscall
 
 
 class MapFlags(IntFlag):
@@ -235,8 +241,6 @@ class DaxFS:
     def _charge_meta(self, ctx, note: str) -> None:
         """An async-journaled metadata update: a small unscaled PMEM write."""
         if ctx is not None:
-            from ..mem.memcpy import charge_pmem_write
-
             charge_pmem_write(ctx, 512.0, note=note)
         self._notify_meta()
 
@@ -503,8 +507,6 @@ class DaxFS:
     ) -> int:
         """POSIX-style write: in-kernel copy user→PMEM at slightly reduced
         per-stream efficiency, via the extent map."""
-        from ..mem.memcpy import _COPY_SETUP_NS  # shared setup constant
-
         buf = PMEMDevice._as_bytes(data)
         size = int(buf.size)
         if size == 0:
@@ -526,8 +528,6 @@ class DaxFS:
         self, ctx, inode: Inode, offset: int, size: int, *, model_bytes: float | None = None
     ) -> np.ndarray:
         """POSIX-style read: in-kernel copy PMEM→user."""
-        from ..mem.memcpy import _COPY_SETUP_NS
-
         size = min(size, max(inode.size - offset, 0))
         out = np.empty(size, dtype=np.uint8)
         pos = 0
@@ -544,8 +544,6 @@ class DaxFS:
     # ------------------------------------------------------------------ mmap
 
     def mmap(self, ctx, inode: Inode, flags: MapFlags = MapFlags.SHARED) -> "DaxMapping":
-        from .syscall import syscall
-
         syscall(ctx, note="mmap")
         self._charge_meta(ctx, "mmap")
         real_page = max(CACHELINE, ctx.machine.kernel.dax_page_bytes // ctx.scale)
@@ -563,6 +561,9 @@ class DaxMapping:
         self.fs = fs
         self.inode = inode
         self.flags = flags
+        #: ``flags & MapFlags.SYNC``, taken once: an IntFlag operation is
+        #: far dearer than an attribute read on the per-access fault path
+        self._sync = bool(flags & MapFlags.SYNC)
         self.nprocs = nprocs
         #: one functional page corresponds to one model DAX page
         self._real_page = real_page
@@ -596,9 +597,10 @@ class DaxMapping:
     def _fault_pages(self, offset: int, size: int) -> int:
         p0 = offset // self._real_page
         p1 = -(-(offset + size) // self._real_page)
-        new = [p for p in range(p0, p1) if p not in self._touched]
-        self._touched.update(new)
-        return len(new)
+        touched = self._touched
+        before = len(touched)
+        touched.update(range(p0, p1))
+        return len(touched) - before
 
     def _charge_faults(
         self, ctx, offset: int, size: int, *, allocating: bool = False
@@ -609,7 +611,7 @@ class DaxMapping:
         k = ctx.machine.kernel
         if nfaults > 0:
             page_fault(ctx, nfaults)
-        if not (self.flags & MapFlags.SYNC):
+        if not self._sync:
             return
         if allocating:
             # Write faults: the *first writer device-wide* pays the
@@ -676,8 +678,6 @@ class DaxMapping:
         for dev_off, length in self.fs.file_ranges(self.inode, offset, size):
             self.fs.device.store(dev_off, buf[pos : pos + length])
             pos += length
-        from ..mem.memcpy import charge_pmem_write
-
         charge_pmem_write(
             ctx, float(size) if model_bytes is None else float(model_bytes),
             note="mmap-store",
@@ -694,8 +694,6 @@ class DaxMapping:
         for dev_off, length in self.fs.file_ranges(self.inode, offset, size):
             out[pos : pos + length] = self.fs.device.view(dev_off, length)
             pos += length
-        from ..mem.memcpy import charge_pmem_read
-
         charge_pmem_read(
             ctx, float(size) if model_bytes is None else float(model_bytes),
             note="mmap-load",
@@ -728,15 +726,9 @@ class DaxMapping:
         self._check_open()
         for dev_off, length in self.fs.file_ranges(self.inode, offset, size):
             self.fs.device.persist(dev_off, length)
-        ctx.delay(200.0, note="persist")
-        from ..telemetry import metrics_for, record
-
-        record(ctx, "persist_calls")
-        metrics_for(ctx).histogram("access.persist.bytes").observe(float(size))
+        charge_persist(ctx, size)
 
     def unmap(self, ctx) -> None:
-        from .syscall import syscall
-
         syscall(ctx, note="munmap")
         self.closed = True
 

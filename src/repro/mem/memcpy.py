@@ -21,31 +21,42 @@ from .device import PMEMDevice
 #: fixed software cost of initiating one copy (pointer math, loop setup)
 _COPY_SETUP_NS = 40.0
 
+#: fixed cost of one persist (CLWB loop + fence)
+_PERSIST_NS = 200.0
 
-def _observe_access(ctx, resource: str, model_bytes: float) -> None:
-    """Feed the Darshan-style access-size histogram for ``resource``.
-
-    Log2 buckets, so the "many tiny accesses vs few large ones" signature
-    of each driver survives cross-rank aggregation."""
-    metrics_for(ctx).histogram(f"access.{resource}.bytes").observe(model_bytes)
+# The charge_* helpers below run on every charged access, so each takes the
+# rank's metric registry once and names its families with literals.  The
+# ``access.<resource>.bytes`` histograms are the Darshan-style access-size
+# signature: log2 buckets, so "many tiny accesses vs few large ones"
+# survives cross-rank aggregation.
 
 
 def charge_pmem_write(ctx, model_bytes: float, note: str = "") -> None:
     spec = ctx.machine.pmem
     ctx.delay(spec.write_latency_ns + _COPY_SETUP_NS, note=note)
     ctx.transfer("pmem_write", model_bytes, spec.stream_write_bw, note=note)
-    record(ctx, "pmem_write_ops")
-    record(ctx, "pmem_write_bytes", model_bytes)
-    _observe_access(ctx, "pmem_write", model_bytes)
+    reg = metrics_for(ctx)
+    reg.counter("pmem_write_ops").add(1.0)
+    reg.counter("pmem_write_bytes").add(model_bytes)
+    reg.histogram("access.pmem_write.bytes").observe(model_bytes)
 
 
 def charge_pmem_read(ctx, model_bytes: float, note: str = "") -> None:
     spec = ctx.machine.pmem
     ctx.delay(spec.read_latency_ns + _COPY_SETUP_NS, note=note)
     ctx.transfer("pmem_read", model_bytes, spec.stream_read_bw, note=note)
-    record(ctx, "pmem_read_ops")
-    record(ctx, "pmem_read_bytes", model_bytes)
-    _observe_access(ctx, "pmem_read", model_bytes)
+    reg = metrics_for(ctx)
+    reg.counter("pmem_read_ops").add(1.0)
+    reg.counter("pmem_read_bytes").add(model_bytes)
+    reg.histogram("access.pmem_read.bytes").observe(model_bytes)
+
+
+def charge_persist(ctx, nbytes: int) -> None:
+    """Flush ``nbytes`` of stored cachelines to the persistence domain."""
+    ctx.delay(_PERSIST_NS, note="persist")
+    reg = metrics_for(ctx)
+    reg.counter("persist_calls").add(1.0)
+    reg.histogram("access.persist.bytes").observe(float(nbytes))
 
 
 def charge_dram_copy(ctx, model_bytes: float, note: str = "") -> None:
@@ -53,9 +64,10 @@ def charge_dram_copy(ctx, model_bytes: float, note: str = "") -> None:
     spec = ctx.machine.dram
     ctx.delay(spec.write_latency_ns + _COPY_SETUP_NS, note=note)
     ctx.transfer("dram", model_bytes, spec.stream_write_bw, note=note)
-    record(ctx, "dram_copy_ops")
-    record(ctx, "dram_copy_bytes", model_bytes)
-    _observe_access(ctx, "dram", model_bytes)
+    reg = metrics_for(ctx)
+    reg.counter("dram_copy_ops").add(1.0)
+    reg.counter("dram_copy_bytes").add(model_bytes)
+    reg.histogram("access.dram.bytes").observe(model_bytes)
 
 
 def charge_cpu(ctx, model_bytes: float, per_core_bw: float, note: str = "") -> None:
@@ -85,16 +97,18 @@ def charge_pfs_write(ctx, model_bytes: float, note: str = "") -> None:
     spec = ctx.machine.pfs
     ctx.delay(spec.write_latency_ns, note=note)
     ctx.transfer("pfs_write", model_bytes, spec.stream_write_bw, note=note)
-    record(ctx, "pfs_write_bytes", model_bytes)
-    _observe_access(ctx, "pfs_write", model_bytes)
+    reg = metrics_for(ctx)
+    reg.counter("pfs_write_bytes").add(model_bytes)
+    reg.histogram("access.pfs_write.bytes").observe(model_bytes)
 
 
 def charge_pfs_read(ctx, model_bytes: float, note: str = "") -> None:
     spec = ctx.machine.pfs
     ctx.delay(spec.read_latency_ns, note=note)
     ctx.transfer("pfs_read", model_bytes, spec.stream_read_bw, note=note)
-    record(ctx, "pfs_read_bytes", model_bytes)
-    _observe_access(ctx, "pfs_read", model_bytes)
+    reg = metrics_for(ctx)
+    reg.counter("pfs_read_bytes").add(model_bytes)
+    reg.histogram("access.pfs_read.bytes").observe(model_bytes)
 
 
 # ---------------------------------------------------------------------------

@@ -77,7 +77,6 @@ class PmemMutex:
             if ctx is None:
                 raise PmdkError("recover requires a ctx to charge the store")
             pool.write_u64(ctx, off, 0)
-        pool.register_mutex(self)
 
     @classmethod
     def alloc(cls, ctx, pool, *, name: str | None = None) -> "PmemMutex":
@@ -161,7 +160,6 @@ class PmemRWLock:
             if ctx is None:
                 raise PmdkError("recover requires a ctx to charge the store")
             pool.write_u64(ctx, off, 0)
-        pool.register_mutex(self)
 
     @classmethod
     def alloc(cls, ctx, pool, *, name: str | None = None,

@@ -37,7 +37,7 @@ import numpy as np
 from ..errors import BadAddressError, PoolCorruptError
 from ..shm.sync import LocalLockProvider
 from ..mem.device import PMEMDevice
-from ..mem.memcpy import charge_pmem_read, charge_pmem_write
+from ..mem.memcpy import charge_persist, charge_pmem_read, charge_pmem_write
 from ..telemetry import span
 from .alloc import Heap
 
@@ -89,11 +89,7 @@ class RawRegion:
     def persist(self, ctx, off: int, size: int) -> None:
         self._check(off, size)
         self.device.persist(self.base + off, size)
-        ctx.delay(200.0, note="persist")
-        from ..telemetry import metrics_for, record
-
-        record(ctx, "persist_calls")
-        metrics_for(ctx).histogram("access.persist.bytes").observe(float(size))
+        charge_persist(ctx, size)
 
     def view(self, off: int, size: int) -> np.ndarray:
         self._check(off, size)
@@ -120,7 +116,6 @@ class PmemPool:
         self._lane_free: set[int] = set()
         self._lane_cond = threading.Condition()
         self._lane_cell = None  # shared mode: cross-process lane bitmap
-        self._mutex_registry: list = []
         #: volatile-lock-core provider for every lock living in this pool —
         #: in-process cores by default; attach_shared swaps in shm cores
         self.locks = LocalLockProvider()
@@ -362,12 +357,6 @@ class PmemPool:
                 self.write(ctx, off, data)
                 self.persist(ctx, off, len(data))
             self.write_u64(ctx, base, 0)
-
-    # ------------------------------------------------------------------ robust locks
-
-    def register_mutex(self, mutex) -> None:
-        with self.lock:
-            self._mutex_registry.append(mutex)
 
     # ------------------------------------------------------------------ allocation façade
 

@@ -18,17 +18,21 @@ def dtype_to_token(dtype: np.dtype) -> str:
 
 
 def dtype_from_token(token: str) -> np.dtype:
+    """Inverse of :func:`dtype_to_token`; any malformed token raises
+    :class:`~repro.errors.SerializationError`."""
     try:
         descr = json.loads(token)
-    except json.JSONDecodeError as e:
-        raise SerializationError(f"bad dtype token {token!r}") from e
-    if isinstance(descr, list):
-        descr = [tuple(x) if isinstance(x, list) else x for x in descr]
-        descr = [
-            (f[0], f[1], tuple(f[2])) if len(f) == 3 else (f[0], f[1])
-            for f in descr
-        ]
-    return np.dtype(descr)
+        if isinstance(descr, list):
+            descr = [tuple(x) if isinstance(x, list) else x for x in descr]
+            descr = [
+                (f[0], f[1], tuple(f[2])) if len(f) == 3 else (f[0], f[1])
+                for f in descr
+            ]
+        return np.dtype(descr)
+    except (ValueError, TypeError, IndexError, KeyError) as e:
+        # json.JSONDecodeError is a ValueError; numpy raises TypeError or
+        # ValueError for descriptors it does not understand
+        raise SerializationError(f"bad dtype token {token!r}: {e}") from e
 
 
 # ---------------------------------------------------------------------------

@@ -67,6 +67,7 @@ from ..errors import (
     ProtocolError,
     ProtocolVersionError,
     ReproError,
+    SerializationError,
     ServiceError,
     ServiceOverloadedError,
     ShardUnavailableError,
@@ -471,7 +472,15 @@ def decode_request(kind: int, seq: int, body: bytes, *,
     if kind == OP_STORE:
         name = r.string()
         flags = r.u8()
-        dtype = dtype_from_token(r.string())
+        token = r.string()
+        try:
+            dtype = dtype_from_token(token)
+        except SerializationError as e:
+            raise ProtocolError(f"store {name!r}: {e}") from e
+        if dtype.hasobject:
+            raise ProtocolError(
+                f"store {name!r}: dtype {dtype} holds Python objects"
+            )
         ndim = r.u8()
         dims = r.u32s(ndim)
         offsets = None

@@ -45,7 +45,7 @@ from ..config import DEFAULT_MACHINE, MachineSpec
 from ..errors import CollectiveAbortedError, EngineUnavailableError, RankFailedError
 from ..shm.sync import LocalLockProvider
 from .fluid import FluidResult, FluidSimulator
-from .resources import ResourceSet, build_standard_resources
+from .resources import build_standard_resources
 from .trace import Acquire, Barrier, Delay, RankTrace, Release, Transfer
 
 #: environment variable selecting the default rank engine
@@ -220,17 +220,18 @@ class Context:
         if ns <= 0:
             return
         self.lb_ns += ns
+        phase = self._phase_stack[-1]
         ops = self.trace.ops
         if ops:
             last = ops[-1]
             if (
-                isinstance(last, Delay)
-                and last.phase == self.current_phase
+                type(last) is Delay
+                and last.phase == phase
                 and last.note == note
             ):
-                ops[-1] = Delay(ns=last.ns + ns, phase=last.phase, note=last.note)
+                ops[-1] = Delay(last.ns + ns, phase, note)
                 return
-        ops.append(Delay(ns=ns, phase=self.current_phase, note=note))
+        ops.append(Delay(ns, phase, note))
 
     def transfer(
         self, resource: str, amount: float, stream_cap: float, note: str = ""
@@ -242,33 +243,22 @@ class Context:
         if amount <= 0:
             return
         self.lb_ns += amount / stream_cap
+        phase = self._phase_stack[-1]
         ops = self.trace.ops
         if ops:
             last = ops[-1]
             if (
-                isinstance(last, Transfer)
-                and last.phase == self.current_phase
+                type(last) is Transfer
+                and last.phase == phase
                 and last.resource == resource
                 and last.stream_cap == stream_cap
                 and last.note == note
             ):
                 ops[-1] = Transfer(
-                    resource=resource,
-                    amount=last.amount + amount,
-                    stream_cap=stream_cap,
-                    phase=last.phase,
-                    note=last.note,
+                    resource, last.amount + amount, stream_cap, phase, note
                 )
                 return
-        ops.append(
-            Transfer(
-                resource=resource,
-                amount=amount,
-                stream_cap=stream_cap,
-                phase=self.current_phase,
-                note=note,
-            )
-        )
+        ops.append(Transfer(resource, amount, stream_cap, phase, note))
 
     # -- lock discipline -------------------------------------------------------
 
@@ -347,11 +337,13 @@ class SpmdResult:
     worker_pids: tuple[int, ...] = ()
     _timing: FluidResult | None = field(default=None, repr=False)
 
-    def time(self, resources: ResourceSet | None = None) -> FluidResult:
-        """Run (and cache) the timing pass over the recorded traces."""
-        if self._timing is None or resources is not None:
-            rs = resources or build_standard_resources(self.machine)
-            self._timing = FluidSimulator(rs).run(self.traces)
+    def time(self) -> FluidResult:
+        """Run (and cache) the timing pass over the recorded traces against
+        the machine's standard resources."""
+        if self._timing is None:
+            self._timing = FluidSimulator(
+                build_standard_resources(self.machine)
+            ).run(self.traces)
         return self._timing
 
     @property

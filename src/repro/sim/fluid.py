@@ -27,6 +27,7 @@ from .resources import ResourceSet
 from .trace import Acquire, Barrier, Delay, RankTrace, Release, Transfer
 
 _EPS = 1e-9
+_INF = float("inf")
 
 
 def waterfill(caps: list[float], capacity: float) -> list[float]:
@@ -53,14 +54,6 @@ def waterfill(caps: list[float], capacity: float) -> list[float]:
         remaining -= give
         left -= 1
     return rates
-
-
-@dataclass
-class _ActiveTransfer:
-    rank: int
-    op: Transfer
-    remaining: float
-    rate: float = 0.0
 
 
 @dataclass
@@ -178,27 +171,33 @@ class FluidSimulator:
         ranks = {t.rank for t in traces}
         if len(ranks) != len(traces):
             raise ValueError("duplicate rank in traces")
-        by_rank = {t.rank: t for t in traces}
+        ops_of = {t.rank: t.ops for t in traces}
         pos = {r: 0 for r in ranks}            # next op index
         finish = {r: 0.0 for r in ranks}
-        rank_time = dict(finish)               # rank-local clock
         now = 0.0
 
         timers: list[tuple[float, int]] = []   # (expiry, rank) for Delays
-        active: dict[str, list[_ActiveTransfer]] = {}
+        # resource -> its active streams, each a flat record
+        # [rank, remaining, rate, stream_cap, done_below, charge_key]
+        active: dict[str, list[list]] = {}
+        n_streams = 0
+        # resources whose stream set changed since their rates were computed
+        dirty: set[str] = set()
         barriers: dict[tuple[int, frozenset[int]], _BarrierState] = {}
         blocked: dict[int, tuple[int, frozenset[int]]] = {}  # rank -> barrier key
         locks: dict[str, _LockState] = {}
         lock_blocked: dict[int, str] = {}      # rank -> lock_id it waits on
         idle: list[int] = sorted(ranks)
-        current_phase: dict[int, str] = {r: "" for r in ranks}
         breakdown: dict[tuple[int, str, str], float] = {}
-        # what each busy rank is accounted against: (phase, bucket)
-        accounting: dict[int, tuple[str, str]] = {}
+        # the breakdown key each busy rank is charged to: (rank, phase, bucket)
+        charge_key: dict[int, tuple[int, str, str]] = {}
         timeline: list[tuple[int, str, str, float, float]] = []
-        busy_since: dict[int, float] = {}
         causal = CausalRecord() if record_causal else None
-        causal_since: dict[int, tuple[float, int]] = {}
+        segments = causal.segments if record_causal else None
+        # interval tracking for the timeline and causal records:
+        # rank -> (start_ns, op_index) of the op it is busy with
+        tracking = record_timeline or record_causal
+        busy_since: dict[int, tuple[float, int]] = {}
         lock_wait_since: dict[int, float] = {}
         lock_grant_at: dict[tuple[str, int], float] = {}
 
@@ -212,65 +211,65 @@ class FluidSimulator:
                 }
             return st
 
-        def begin(rank: int) -> None:
-            if record_timeline:
-                busy_since[rank] = now
-            if record_causal:
-                causal_since[rank] = (now, pos[rank])
-
         def finish_interval(rank: int, waker: int | None = None) -> None:
-            if record_timeline:
-                start = busy_since.pop(rank, None)
-                if start is not None and now - start > _EPS:
-                    phase, bucket = accounting.get(rank, ("", "idle"))
+            start, index = busy_since.pop(rank)
+            if now - start > _EPS:
+                _, phase, bucket = charge_key[rank]
+                if record_timeline:
                     timeline.append((rank, phase, bucket, start, now))
-            if record_causal:
-                entry = causal_since.pop(rank, None)
-                if entry is not None and now - entry[0] > _EPS:
-                    phase, bucket = accounting.get(rank, ("", "idle"))
-                    causal.segments.append(
-                        (rank, entry[1], phase, bucket, entry[0], now, waker)
+                if record_causal:
+                    segments.append(
+                        (rank, index, phase, bucket, start, now, waker)
                     )
-
-        def charge(rank: int, ns: float) -> None:
-            if ns <= 0:
-                return
-            phase, bucket = accounting.get(rank, ("", "idle"))
-            key = (rank, phase, bucket)
-            breakdown[key] = breakdown.get(key, 0.0) + ns
 
         def start_next(rank: int) -> None:
             """Activate ops for `rank` until it blocks or its trace ends."""
-            while pos[rank] < len(by_rank[rank].ops):
-                op = by_rank[rank].ops[pos[rank]]
-                current_phase[rank] = op.phase
-                if isinstance(op, Delay):
+            nonlocal n_streams
+            ops = ops_of[rank]
+            i = pos[rank]
+            while i < len(ops):
+                op = ops[i]
+                kind = type(op)
+                if kind is Delay:
                     if op.ns <= _EPS:
-                        pos[rank] += 1
+                        i += 1
                         continue
-                    accounting[rank] = (op.phase, "delay")
-                    begin(rank)
+                    pos[rank] = i
+                    charge_key[rank] = (rank, op.phase, "delay")
+                    if tracking:
+                        busy_since[rank] = (now, i)
                     heapq.heappush(timers, (now + op.ns, rank))
                     return
-                if isinstance(op, Transfer):
-                    if op.amount <= _EPS:
-                        pos[rank] += 1
+                if kind is Transfer:
+                    amount = op.amount
+                    if amount <= _EPS:
+                        i += 1
                         continue
-                    accounting[rank] = (op.phase, op.resource)
-                    begin(rank)
-                    active.setdefault(op.resource, []).append(
-                        _ActiveTransfer(rank, op, op.amount)
-                    )
+                    pos[rank] = i
+                    key = charge_key[rank] = (rank, op.phase, op.resource)
+                    if tracking:
+                        busy_since[rank] = (now, i)
+                    stream = [rank, amount, 0.0, op.stream_cap,
+                              _EPS * max(1.0, amount), key]
+                    streams = active.get(op.resource)
+                    if streams is None:
+                        active[op.resource] = [stream]
+                    else:
+                        streams.append(stream)
+                    n_streams += 1
+                    dirty.add(op.resource)
                     return
-                if isinstance(op, Acquire):
-                    st = locks.setdefault(op.lock_id, _LockState())
+                if kind is Acquire:
+                    st = locks.get(op.lock_id)
+                    if st is None:
+                        st = locks[op.lock_id] = _LockState()
                     if record_causal:
                         lock_stats(op.lock_id)["acquires"] += 1
                     if st.grantable(op.shared):
                         st.grant(rank, op.shared)
                         if record_causal:
                             lock_grant_at[(op.lock_id, rank)] = now
-                        pos[rank] += 1
+                        i += 1
                         continue
                     if record_causal:
                         ls = lock_stats(op.lock_id)
@@ -283,18 +282,20 @@ class FluidSimulator:
                     st.queue.append((rank, op.shared))
                     if record_causal:
                         ls["max_queue"] = max(ls["max_queue"], len(st.queue))
+                    pos[rank] = i
                     lock_blocked[rank] = op.lock_id
-                    accounting[rank] = (op.phase, "lock")
-                    begin(rank)
+                    charge_key[rank] = (rank, op.phase, "lock")
+                    if tracking:
+                        busy_since[rank] = (now, i)
                     return
-                if isinstance(op, Release):
+                if kind is Release:
                     st = locks.get(op.lock_id)
                     if st is None or rank not in st.holders:
                         raise ValueError(
                             f"rank {rank} releasing lock {op.lock_id!r} it "
                             f"does not hold"
                         )
-                    pos[rank] += 1
+                    i += 1
                     if record_causal:
                         ls = lock_stats(op.lock_id)
                         ls["holds"] += 1
@@ -302,41 +303,44 @@ class FluidSimulator:
                             (op.lock_id, rank), now
                         )
                     for r in st.release(rank):
-                        finish_interval(r, waker=rank)
+                        if tracking:
+                            finish_interval(r, waker=rank)
                         if record_causal:
-                            ls = lock_stats(op.lock_id)
                             ls["wait_ns"] += now - lock_wait_since.pop(r, now)
                             lock_grant_at[(op.lock_id, r)] = now
                         del lock_blocked[r]
                         pos[r] += 1
-                        rank_time[r] = now
                         idle.append(r)
                     continue
-                if isinstance(op, Barrier):
+                if kind is Barrier:
                     key = (op.barrier_id, frozenset(op.participants))
                     if rank not in key[1]:
                         raise ValueError(
                             f"rank {rank} hit barrier {op.barrier_id} it does "
                             f"not participate in"
                         )
-                    st = barriers.setdefault(key, _BarrierState(key[1]))
+                    st = barriers.get(key)
+                    if st is None:
+                        st = barriers[key] = _BarrierState(key[1])
                     st.arrived.add(rank)
-                    accounting[rank] = (op.phase, "barrier")
-                    begin(rank)
+                    pos[rank] = i
+                    charge_key[rank] = (rank, op.phase, "barrier")
+                    if tracking:
+                        busy_since[rank] = (now, i)
                     blocked[rank] = key
                     if st.arrived == st.participants:
                         release = [r for r in st.participants if blocked.get(r) == key]
                         del barriers[key]
                         for r in release:
-                            finish_interval(r, waker=rank)
+                            if tracking:
+                                finish_interval(r, waker=rank)
                             del blocked[r]
                             pos[r] += 1
-                            rank_time[r] = now
                             idle.append(r)
                         # `rank` itself is among release; it re-enters via idle
-                        return
                     return
                 raise TypeError(f"unknown op {op!r}")
+            pos[rank] = i
             finish[rank] = now  # trace exhausted
 
         while True:
@@ -344,8 +348,7 @@ class FluidSimulator:
             while idle:
                 start_next(idle.pop())
 
-            n_transfers = sum(len(v) for v in active.values())
-            if n_transfers == 0 and not timers:
+            if n_streams == 0 and not timers:
                 if blocked or lock_blocked:
                     stuck = sorted(set(blocked) | set(lock_blocked))
                     raise RuntimeError(
@@ -354,61 +357,82 @@ class FluidSimulator:
                     )
                 break
 
-            # Compute max-min rates on each resource.
-            for res_name, streams in active.items():
-                res = self.resources[res_name]
-                rates = waterfill(
-                    [s.op.stream_cap for s in streams],
-                    res.capacity(len(streams)),
-                )
-                for s, r in zip(streams, rates):
-                    s.rate = r
+            # Max-min rates change only on resources whose stream set changed.
+            for res_name in dirty:
+                streams = active.get(res_name)
+                if streams:
+                    rates = waterfill(
+                        [s[3] for s in streams],
+                        self.resources[res_name].capacity(len(streams)),
+                    )
+                    for s, r in zip(streams, rates):
+                        s[2] = r
+            dirty.clear()
 
             # Earliest next event.
-            dt = float("inf")
-            if timers:
-                dt = timers[0][0] - now
+            dt = timers[0][0] - now if timers else _INF
             for streams in active.values():
                 for s in streams:
-                    if s.rate > 0:
-                        dt = min(dt, s.remaining / s.rate)
-            if not (dt < float("inf")):
+                    rate = s[2]
+                    if rate > 0:
+                        t = s[1] / rate
+                        if t < dt:
+                            dt = t
+            if not (dt < _INF):
                 raise RuntimeError("no progress possible (all rates zero)")
-            dt = max(dt, 0.0)
-
-            # Advance clocks and charge accounting.
-            now += dt
-            for streams in active.values():
-                for s in streams:
-                    charge(s.rank, dt)
-                    s.remaining -= s.rate * dt
-            for _expiry, rank in timers:
-                charge(rank, dt)
-            for rank in blocked:
-                charge(rank, dt)
-            for rank in lock_blocked:
-                charge(rank, dt)
+            if dt <= 0.0:
+                # a zero step moves no stream and charges nothing; only
+                # timers due within _EPS can expire
+                dt = 0.0
+                completed = ()
+            else:
+                # Advance clocks and charge accounting.
+                now += dt
+                completed = []
+                for res_name, streams in active.items():
+                    drained = False
+                    for s in streams:
+                        key = s[5]
+                        breakdown[key] = breakdown.get(key, 0.0) + dt
+                        s[1] -= s[2] * dt
+                        if s[1] <= s[4]:
+                            drained = True
+                    if drained:
+                        completed.append(res_name)
+                for _expiry, rank in timers:
+                    key = charge_key[rank]
+                    breakdown[key] = breakdown.get(key, 0.0) + dt
+                for rank in blocked:
+                    key = charge_key[rank]
+                    breakdown[key] = breakdown.get(key, 0.0) + dt
+                for rank in lock_blocked:
+                    key = charge_key[rank]
+                    breakdown[key] = breakdown.get(key, 0.0) + dt
 
             # Complete transfers.
-            for res_name in list(active):
+            for res_name in completed:
                 streams = active[res_name]
-                done = [s for s in streams if s.remaining <= _EPS * max(1.0, s.op.amount)]
-                if done:
-                    active[res_name] = [s for s in streams if s not in done]
-                    if not active[res_name]:
-                        del active[res_name]
-                    for s in done:
-                        finish_interval(s.rank)
-                        pos[s.rank] += 1
-                        rank_time[s.rank] = now
-                        idle.append(s.rank)
+                running = [s for s in streams if s[1] > s[4]]
+                if running:
+                    active[res_name] = running
+                else:
+                    del active[res_name]
+                dirty.add(res_name)
+                n_streams -= len(streams) - len(running)
+                for s in streams:
+                    if s[1] <= s[4]:
+                        rank = s[0]
+                        if tracking:
+                            finish_interval(rank)
+                        pos[rank] += 1
+                        idle.append(rank)
 
             # Expire timers.
             while timers and timers[0][0] <= now + _EPS:
                 _, rank = heapq.heappop(timers)
-                finish_interval(rank)
+                if tracking:
+                    finish_interval(rank)
                 pos[rank] += 1
-                rank_time[rank] = now
                 idle.append(rank)
 
         if record_causal:

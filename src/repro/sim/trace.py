@@ -22,42 +22,84 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 
-@dataclass(frozen=True)
-class Delay:
-    ns: float
-    phase: str = ""
-    note: str = ""
+class _Op:
+    """Base of the trace ops: a ``__slots__`` record with value semantics.
 
-    def __post_init__(self):
-        if self.ns < 0:
-            raise ValueError(f"negative delay: {self.ns}")
+    Ops are built once per charged access, so they are plain slotted
+    objects rather than frozen dataclasses, which cost three to four times
+    as much to construct.  Equality, hashing and ``repr`` compare/print the slots in
+    declaration order; pickling rebuilds through the constructor, so the
+    argument checks re-run on the receiving side (the procs engine ships
+    traces between processes).  Ops are never mutated after construction:
+    :class:`~repro.sim.engine.Context` merges by replacing the last op.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        args = ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self.__slots__
+        )
+        return f"{type(self).__name__}({args})"
+
+    def __reduce__(self):
+        return (type(self), self._values())
 
 
-@dataclass(frozen=True)
-class Transfer:
-    resource: str
-    amount: float          # abstract units (bytes, or core-ns for "cpu")
-    stream_cap: float      # units per ns this stream can draw at most
-    phase: str = ""
-    note: str = ""
+class Delay(_Op):
+    __slots__ = ("ns", "phase", "note")
 
-    def __post_init__(self):
-        if self.amount < 0:
-            raise ValueError(f"negative transfer amount: {self.amount}")
-        if self.stream_cap <= 0:
-            raise ValueError(f"non-positive stream cap: {self.stream_cap}")
+    def __init__(self, ns: float, phase: str = "", note: str = ""):
+        if ns < 0:
+            raise ValueError(f"negative delay: {ns}")
+        self.ns = ns
+        self.phase = phase
+        self.note = note
 
 
-@dataclass(frozen=True)
-class Barrier:
-    #: barriers with the same id and participant set rendezvous together.
-    barrier_id: int
-    participants: tuple[int, ...]
-    phase: str = ""
+class Transfer(_Op):
+    #: ``amount`` is in abstract units (bytes, or core-ns for "cpu");
+    #: ``stream_cap`` is the units per ns this stream can draw at most
+    __slots__ = ("resource", "amount", "stream_cap", "phase", "note")
+
+    def __init__(self, resource: str, amount: float, stream_cap: float,
+                 phase: str = "", note: str = ""):
+        if amount < 0:
+            raise ValueError(f"negative transfer amount: {amount}")
+        if stream_cap <= 0:
+            raise ValueError(f"non-positive stream cap: {stream_cap}")
+        self.resource = resource
+        self.amount = amount
+        self.stream_cap = stream_cap
+        self.phase = phase
+        self.note = note
 
 
-@dataclass(frozen=True)
-class Acquire:
+class Barrier(_Op):
+    """Barriers with the same ``barrier_id`` and participant set
+    rendezvous together."""
+
+    __slots__ = ("barrier_id", "participants", "phase")
+
+    def __init__(self, barrier_id: int, participants: tuple[int, ...],
+                 phase: str = ""):
+        self.barrier_id = barrier_id
+        self.participants = participants
+        self.phase = phase
+
+
+class Acquire(_Op):
     """Enter a critical section on ``lock_id``.
 
     Takes zero time when the lock is free; otherwise the rank waits (time
@@ -66,18 +108,24 @@ class Acquire:
     semantics); exclusive ones serialize.
     """
 
-    lock_id: str
-    shared: bool = False
-    phase: str = ""
-    note: str = ""
+    __slots__ = ("lock_id", "shared", "phase", "note")
+
+    def __init__(self, lock_id: str, shared: bool = False, phase: str = "",
+                 note: str = ""):
+        self.lock_id = lock_id
+        self.shared = shared
+        self.phase = phase
+        self.note = note
 
 
-@dataclass(frozen=True)
-class Release:
+class Release(_Op):
     """Leave the critical section entered by the matching :class:`Acquire`."""
 
-    lock_id: str
-    phase: str = ""
+    __slots__ = ("lock_id", "phase")
+
+    def __init__(self, lock_id: str, phase: str = ""):
+        self.lock_id = lock_id
+        self.phase = phase
 
 
 TraceOp = Delay | Transfer | Barrier | Acquire | Release

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from repro.config import DEFAULT_MACHINE
 from repro.sim.fluid import FluidSimulator, waterfill
 from repro.sim.resources import Resource, ResourceSet, build_standard_resources
-from repro.sim.trace import Barrier, Delay, RankTrace, Transfer
+from repro.sim.trace import Acquire, Barrier, Delay, RankTrace, Release, Transfer
 
 
 def const_resources(**caps):
@@ -247,3 +247,162 @@ class TestAgainstAnalytic:
             # legitimately skipped
             n_ops = len(t.ops)
             assert res.finish_ns[t.rank] >= t.lower_bound_ns() * (1 - 1e-9) - 1e-6 * (n_ops + 1)
+
+
+class TestPinnedReplay:
+    """A hand-made four-rank trace replayed to exact, pinned values.
+
+    It covers two streams contending on ``dev`` with caps that force
+    water-filling (5/5 while ranks 0 and 1 share it, then 7/3 once rank 2
+    joins rank 0), a barrier, an exclusive lock holder with two batched
+    shared readers and an exclusive writer queued behind them, and
+    zero-length delays and transfers.  The expected values were captured
+    from the replay and are compared with ``==``: a change to the event
+    loop must keep every modeled nanosecond bit-identical.
+    """
+
+    EVERYONE = (0, 1, 2, 3)
+
+    @staticmethod
+    def resources():
+        return ResourceSet([
+            Resource("dev", lambda n: 10.0),
+            Resource("net", lambda n: 4.0 + n),
+        ])
+
+    def traces(self):
+        every = self.EVERYONE
+        return [
+            RankTrace(0, [
+                Transfer("dev", 100.0, 8.0, phase="write"),
+                Delay(0.0, phase="write"),
+                Barrier(0, every, phase="sync"),
+                Acquire("L", phase="meta"),
+                Delay(30.0, phase="meta", note="crit"),
+                Release("L", phase="meta"),
+                Transfer("net", 0.0, 1.0, phase="send"),
+                Delay(5.0, phase="tail"),
+            ]),
+            RankTrace(1, [
+                Transfer("dev", 60.0, 6.0, phase="write"),
+                Transfer("dev", 0.0, 6.0, phase="write"),
+                Barrier(0, every, phase="sync"),
+                Delay(1.0, phase="meta"),
+                Acquire("L", shared=True, phase="meta"),
+                Delay(10.0, phase="meta"),
+                Release("L", phase="meta"),
+                Transfer("net", 24.0, 3.0, phase="send"),
+            ]),
+            RankTrace(2, [
+                Delay(20.0, phase="gen"),
+                Transfer("dev", 40.0, 3.0, phase="write"),
+                Barrier(0, every, phase="sync"),
+                Delay(1.0, phase="meta"),
+                Acquire("L", shared=True, phase="meta"),
+                Delay(12.0, phase="meta"),
+                Release("L", phase="meta"),
+                Transfer("net", 30.0, 3.0, phase="send"),
+            ]),
+            RankTrace(3, [
+                Transfer("net", 50.0, 2.5, phase="send"),
+                Barrier(0, every, phase="sync"),
+                Delay(2.0, phase="meta"),
+                Acquire("L", phase="meta"),
+                Delay(3.0, phase="meta"),
+                Release("L", phase="meta"),
+                Delay(0.0, phase="tail"),
+            ]),
+        ]
+
+    FINISH = {0: 68.33333333333334, 1: 81.33333333333334,
+              2: 85.33333333333334, 3: 78.33333333333334}
+    BREAKDOWN = {
+        (3, "send", "net"): 20.0,
+        (1, "write", "dev"): 12.0,
+        (0, "write", "dev"): 17.0,
+        (2, "gen", "delay"): 20.0,
+        (1, "sync", "barrier"): 21.333333333333336,
+        (0, "sync", "barrier"): 16.333333333333336,
+        (2, "write", "dev"): 13.333333333333334,
+        (3, "sync", "barrier"): 13.333333333333334,
+        (1, "meta", "delay"): 11.000000000000007,
+        (3, "meta", "delay"): 5.0,
+        (2, "meta", "delay"): 13.000000000000007,
+        (0, "meta", "delay"): 30.0,
+        (2, "meta", "lock"): 29.0,
+        (1, "meta", "lock"): 29.0,
+        (3, "meta", "lock"): 40.00000000000001,
+        (0, "tail", "delay"): 5.000000000000007,
+        (1, "send", "net"): 8.0,
+        (2, "send", "net"): 10.0,
+    }
+    TIMELINE = [
+        (1, "write", "dev", 0.0, 12.0),
+        (0, "write", "dev", 0.0, 17.0),
+        (3, "send", "net", 0.0, 20.0),
+        (2, "gen", "delay", 0.0, 20.0),
+        (2, "write", "dev", 20.0, 33.333333333333336),
+        (0, "sync", "barrier", 17.0, 33.333333333333336),
+        (1, "sync", "barrier", 12.0, 33.333333333333336),
+        (3, "sync", "barrier", 20.0, 33.333333333333336),
+        (1, "meta", "delay", 33.333333333333336, 34.333333333333336),
+        (2, "meta", "delay", 33.333333333333336, 34.333333333333336),
+        (3, "meta", "delay", 33.333333333333336, 35.333333333333336),
+        (0, "meta", "delay", 33.333333333333336, 63.333333333333336),
+        (2, "meta", "lock", 34.333333333333336, 63.333333333333336),
+        (1, "meta", "lock", 34.333333333333336, 63.333333333333336),
+        (0, "tail", "delay", 63.333333333333336, 68.33333333333334),
+        (1, "meta", "delay", 63.333333333333336, 73.33333333333334),
+        (2, "meta", "delay", 63.333333333333336, 75.33333333333334),
+        (3, "meta", "lock", 35.333333333333336, 75.33333333333334),
+        (3, "meta", "delay", 75.33333333333334, 78.33333333333334),
+        (1, "send", "net", 73.33333333333334, 81.33333333333334),
+        (2, "send", "net", 75.33333333333334, 85.33333333333334),
+    ]
+    SEGMENTS = [
+        (0, 0, "write", "dev", 0.0, 17.0, None),
+        (0, 2, "sync", "barrier", 17.0, 33.333333333333336, 2),
+        (0, 4, "meta", "delay", 33.333333333333336, 63.333333333333336, None),
+        (0, 7, "tail", "delay", 63.333333333333336, 68.33333333333334, None),
+        (1, 0, "write", "dev", 0.0, 12.0, None),
+        (1, 2, "sync", "barrier", 12.0, 33.333333333333336, 2),
+        (1, 3, "meta", "delay", 33.333333333333336, 34.333333333333336, None),
+        (1, 4, "meta", "lock", 34.333333333333336, 63.333333333333336, 0),
+        (1, 5, "meta", "delay", 63.333333333333336, 73.33333333333334, None),
+        (1, 7, "send", "net", 73.33333333333334, 81.33333333333334, None),
+        (2, 0, "gen", "delay", 0.0, 20.0, None),
+        (2, 1, "write", "dev", 20.0, 33.333333333333336, None),
+        (2, 3, "meta", "delay", 33.333333333333336, 34.333333333333336, None),
+        (2, 4, "meta", "lock", 34.333333333333336, 63.333333333333336, 0),
+        (2, 5, "meta", "delay", 63.333333333333336, 75.33333333333334, None),
+        (2, 7, "send", "net", 75.33333333333334, 85.33333333333334, None),
+        (3, 0, "send", "net", 0.0, 20.0, None),
+        (3, 1, "sync", "barrier", 20.0, 33.333333333333336, 2),
+        (3, 2, "meta", "delay", 33.333333333333336, 35.333333333333336, None),
+        (3, 3, "meta", "lock", 35.333333333333336, 75.33333333333334, 2),
+        (3, 4, "meta", "delay", 75.33333333333334, 78.33333333333334, None),
+    ]
+    LOCKS = {"L": {
+        "acquires": 4, "contended": 3, "holds": 4,
+        "hold_ns": 55.000000000000014, "wait_ns": 98.0, "max_queue": 3,
+        "edges": {(2, 0): 1, (1, 0): 1, (3, 0): 1},
+    }}
+
+    def test_plain_replay(self):
+        res = FluidSimulator(self.resources()).run(self.traces())
+        assert res.finish_ns == self.FINISH
+        assert res.breakdown == self.BREAKDOWN
+        # the breakdown's insertion order is part of the result: callers
+        # fold it in order (phase_totals), so float sums depend on it
+        assert list(res.breakdown) == list(self.BREAKDOWN)
+        assert res.timeline == [] and res.causal is None
+
+    def test_recorded_replay(self):
+        res = FluidSimulator(self.resources()).run(
+            self.traces(), record_timeline=True, record_causal=True
+        )
+        assert res.finish_ns == self.FINISH
+        assert res.breakdown == self.BREAKDOWN
+        assert res.timeline == self.TIMELINE
+        assert res.causal.segments == self.SEGMENTS
+        assert res.causal.locks == self.LOCKS

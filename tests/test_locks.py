@@ -1,5 +1,8 @@
 """Tests for the persistent lock primitives (mutex, RW lock, striped table)."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.errors import PmdkError
@@ -170,6 +173,26 @@ class TestRWLock:
 
         run_spmd(4, fn)
         assert counter["v"] == 100
+
+
+class TestLockLifetime:
+    def test_pool_does_not_keep_its_locks_alive(self):
+        """Each PMEM.mmap rebuilds its lock table over the same owner
+        words; the pool must not pin the tables of earlier mappings (a
+        long-lived service re-mapping per batch would grow without
+        bound)."""
+        _d, _r, pool = make_pool()
+
+        def fn(ctx):
+            table = PmemStripedLocks.alloc(ctx, pool, 8)
+            refs = [weakref.ref(table)]
+            refs += [weakref.ref(lk) for lk in table.stripes]
+            refs.append(weakref.ref(PmemMutex.alloc(ctx, pool)))
+            return refs
+
+        refs = one_rank(fn)
+        gc.collect()
+        assert [r() for r in refs] == [None] * len(refs)
 
 
 class TestVolatileRWLock:

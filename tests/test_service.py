@@ -240,6 +240,32 @@ def test_core_protocol_garbage_gets_error_frame_not_crash():
     assert core.stats()["counters"]["service.protocol_errors"] == 1
 
 
+@pytest.mark.parametrize("bad_token", [b'"<fC"', b'"|O8"'])
+def test_core_corrupt_store_dtype_gets_error_frame(bad_token):
+    """A STORE whose dtype token was corrupted in flight (an unknown type
+    code, or an object dtype that cannot come from raw bytes) is answered
+    with a typed ProtocolError frame; the core keeps serving."""
+    core = ServiceCore(ServiceConfig(nshards=1))
+    frame = wire.encode_store(1, "v", np.arange(4, dtype=np.float64))
+    assert frame.count(b'"<f8"') == 1
+    payload = frame[4:].replace(b'"<f8"', bad_token)
+    kind, _seq, body = _decode(core.handle_payload(payload))
+    assert kind == wire.RESP_ERR
+    assert isinstance(wire.decode_error(body), ProtocolError)
+    assert core.stats()["counters"]["service.protocol_errors"] == 1
+    k, _s, _b = _decode(core.handle_payload(wire.encode_ping(2)[4:]))
+    assert k == wire.RESP_OK
+
+
+@pytest.mark.parametrize("token", ['"<fC"', "[1, 2]", '[["a"]]', "{", "7"])
+def test_dtype_from_token_rejects_malformed_tokens_typed(token):
+    from repro.errors import SerializationError
+    from repro.serial.base import dtype_from_token
+
+    with pytest.raises(SerializationError):
+        dtype_from_token(token)
+
+
 def test_shard_down_is_typed_and_recoverable():
     core = ServiceCore(ServiceConfig(nshards=1))
     a = np.ones(8)
